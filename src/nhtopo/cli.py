@@ -85,7 +85,9 @@ def _thread_default() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            pass
+            raise ValueError(
+                f"NHTOPO_THREADS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 

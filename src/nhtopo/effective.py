@@ -10,11 +10,14 @@ gap-closing points whenever gamma != 0.
 
 Two independent evaluation routes are provided in momentum space: a closed
 form built from scalar functions of k, and a route through the principal
-matrix logarithm.  Their agreement is itself a library invariant.
+matrix logarithm.  Their agreement is itself a library invariant.  Large
+exponents beta * Delta_k / 2 are handled there in log-domain asymptotics.
 
-Large exponents beta * Delta_k / 2 are handled in log-domain asymptotics
-(momentum space) or by a two-sided spectral split (real space) so that the
-extreme-coupling parameter regimes stay evaluable in double precision.
+In real space one kernel serves the effective matrix, its spectrum and the
+density profiles: the chain is real, so S e^{-beta H_0} S is the Gram
+matrix of a real G whose singular values a one-sided Jacobi SVD resolves
+to high relative accuracy, keeping the extreme-coupling regimes evaluable
+in double precision.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ from .model import (
     lattice_hamiltonian,
 )
 
-# Crossover to log-domain asymptotics for the closed form, and to the
-# two-sided spectral split for lattice evaluation.
+# Crossover to log-domain asymptotics for the momentum-space closed form.
 LOG_DOMAIN_CROSSOVER = 30.0
 
 # Largest exponent spread that still fits in double precision with margin.
@@ -284,78 +286,52 @@ def effective_bloch_via_log(params: ModelParams, k: float) -> EffectiveBloch:
 # real space
 # ---------------------------------------------------------------------------
 
-def _lattice_log_pieces(params: ModelParams, bc: BoundaryCondition):
-    """Similarity diagonal and eigensystem of the Hermitianized lattice."""
-    s = hermitianizing_transform(params)
-    s_diag = s.lattice_diagonal(params.cells)
-    h = lattice_hamiltonian(params, bc)
-    h0 = (1.0 / s_diag)[:, None] * h * s_diag[None, :]
-    h0 = 0.5 * (h0 + h0.conj().T)
-    lam, v = np.linalg.eigh(h0)
-    return s_diag, s.theta, lam, v
+def _steady_state_modes(
+    params: ModelParams, bc: BoundaryCondition, vectors: bool = True
+):
+    """Effective energies (ascending) and, if ``vectors``, their modes.
 
+    The chain is real, so H_0 = S^{-1} H S = V Lambda V^T is real symmetric
+    and S e^{-beta H_0} S = e^{-beta lambda_0} G G^T with
+    G = S V e^{-beta (Lambda - lambda_0) / 2}.  The one-sided Jacobi SVD of
+    G (LAPACK dgejsv) gives its singular values sigma to high relative
+    accuracy however many decades they span; the energies are
+    beta lambda_0 - 2 ln sigma, the modes the left singular vectors.
 
-def _stitched_eigensystem(s_diag, lam, v, beta):
-    """Eigensystem of -log(S e^{-beta H_0} S) via a two-sided split.
-
-    One diagonalization of M = S e^{-beta H_0} S resolves the modes with
-    effective energy <= 0 (eigenvalue >= 1); a second, of M^{-1} assembled
-    from the same spectral pieces, resolves the rest.  This keeps every
-    retained eigenpair at small *relative* error even when the spectrum of
-    M spans hundreds of orders of magnitude.
+    Raises
+    ------
+    OverflowError
+        If the exponent spread exceeds double precision.
+    NotPositiveDefiniteError
+        If the SVD fails or G is numerically singular.
     """
-    n = lam.size
-    b_plus = s_diag[:, None] * v
-    b_minus = (1.0 / s_diag)[:, None] * v
-    m = (b_plus * np.exp(-beta * lam)) @ b_plus.conj().T
-    m_inv = (b_minus * np.exp(beta * lam)) @ b_minus.conj().T
-    mu, u_m = np.linalg.eigh(0.5 * (m + m.conj().T))
-    nu, u_i = np.linalg.eigh(0.5 * (m_inv + m_inv.conj().T))
+    if params.zero_temperature:
+        raise ValueError("lattice effective Hamiltonian requires temperature > 0")
+    h = lattice_hamiltonian(params, bc)
+    if np.any(h.imag != 0.0):
+        raise ValueError("lattice Hamiltonian has a nonzero imaginary part")
+    beta, s = params.beta, hermitianizing_transform(params)
+    s_diag = s.lattice_diagonal(params.cells)
+    h0 = (1.0 / s_diag)[:, None] * h.real * s_diag[None, :]
+    lam, v = np.linalg.eigh(0.5 * (h0 + h0.T))
+    if beta * (lam[-1] - lam[0]) + 4.0 * abs(s.theta) > _MAX_EXPONENT:
+        raise OverflowError(
+            "exponent spread exceeds double precision; reduce beta or the bandwidth"
+        )
+    g = (s_diag[:, None] * v) * np.exp(-0.5 * beta * (lam - lam[0]))
 
-    keep_m = mu >= 1.0
-    keep_i = nu > 1.0
-    eps_m = -np.log(mu[keep_m])
-    vec_m = u_m[:, keep_m]
-    eps_i = np.log(nu[keep_i])
-    vec_i = u_i[:, keep_i]
+    from scipy.linalg import lapack  # deferred: keeps CLI start-up light
 
-    surplus = (eps_m.size + eps_i.size) - n
-    if surplus > 0:
-        # modes straddling eps = 0 appeared on both sides; drop the i-side
-        # copies with the largest eigenvector overlap against the m-side
-        order = np.argsort(np.abs(eps_i))
-        near_m = np.abs(eps_m) < 0.5
-        drop = []
-        for idx in order:
-            if len(drop) == surplus:
-                break
-            if np.abs(eps_i[idx]) > 0.5:
-                break
-            if np.any(near_m):
-                overlaps = np.abs(vec_m[:, near_m].conj().T @ vec_i[:, idx])
-                if overlaps.size and overlaps.max() > 0.5:
-                    drop.append(idx)
-        while len(drop) < surplus:  # fall back to smallest |eps| not yet dropped
-            for idx in order:
-                if idx not in drop:
-                    drop.append(idx)
-                    break
-        keep = np.setdiff1d(np.arange(eps_i.size), np.array(drop, dtype=int))
-        eps_i, vec_i = eps_i[keep], vec_i[:, keep]
-    elif surplus < 0:
-        # modes straddling eps = 0 fell through both selections; recover the
-        # most accurate of the excluded m-side eigenpairs (largest mu < 1)
-        excluded = ~keep_m
-        mu_ex = mu[excluded]
-        vec_ex = u_m[:, excluded]
-        order = np.argsort(mu_ex)[::-1][: -surplus]
-        eps_m = np.concatenate([eps_m, -np.log(np.maximum(mu_ex[order], np.finfo(float).tiny))])
-        vec_m = np.concatenate([vec_m, vec_ex[:, order]], axis=1)
-
-    energies = np.concatenate([eps_m, eps_i])
-    vectors = np.concatenate([vec_m, vec_i], axis=1)
-    order = np.argsort(energies)
-    return energies[order], vectors[:, order]
+    # JOBA='A', JOBU='U'|'N', JOBV='N', JOBR='N' (no flush), JOBP='N' (no perturbation)
+    sva, u_g, _, work, _, info = lapack.dgejsv(
+        g, joba=4, jobu=0 if vectors else 3, jobv=3, jobr=0, jobp=0
+    )
+    sigma = sva * (work[0] / work[1])
+    if info != 0 or not sigma[-1] > 0.0:
+        raise NotPositiveDefiniteError(
+            f"steady-state SVD failed: info {info}, sigma_min {sigma[-1]:.3e}"
+        )
+    return beta * lam[0] - 2.0 * np.log(sigma), (u_g if vectors else None)
 
 
 def effective_lattice(
@@ -363,61 +339,24 @@ def effective_lattice(
 ) -> np.ndarray:
     """Real-space effective Hamiltonian -log(S e^{-beta H_0} S), 2L x 2L.
 
-    Hermitian with real spectrum; under periodic boundaries its spectrum
-    equals the union of the effective Bloch spectra over k = 2 pi n / L.
+    Real symmetric; under periodic boundaries its spectrum equals the
+    union of the effective Bloch spectra over k = 2 pi n / L.
 
     Raises
     ------
     NotPositiveDefiniteError
-        If the direct logarithm argument loses positive definiteness.
+        If the logarithm argument is numerically singular.
     """
-    if params.zero_temperature:
-        raise ValueError("lattice effective Hamiltonian requires temperature > 0")
-    beta = params.beta
-    s_diag, theta, lam, v = _lattice_log_pieces(params, bc)
-    spread = beta * max(abs(lam[0]), abs(lam[-1])) + 2.0 * abs(theta)
-    if beta * (lam[-1] - lam[0]) + 4.0 * abs(theta) > _MAX_EXPONENT:
-        raise OverflowError(
-            "exponent spread exceeds double precision; reduce beta or the bandwidth"
-        )
-    if spread <= LOG_DOMAIN_CROSSOVER:
-        b = s_diag[:, None] * v
-        m = (b * np.exp(-beta * lam)) @ b.conj().T
-        mu, u_m = np.linalg.eigh(0.5 * (m + m.conj().T))
-        if mu[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"log argument has eigenvalue {mu[0]:.3e} <= 0"
-            )
-        h_eff = (u_m * (-np.log(mu))) @ u_m.conj().T
-    else:
-        energies, vectors = _stitched_eigensystem(s_diag, lam, v, beta)
-        h_eff = (vectors * energies) @ vectors.conj().T
-    return 0.5 * (h_eff + h_eff.conj().T)
+    energies, vectors = _steady_state_modes(params, bc)
+    h_eff = (vectors * energies) @ vectors.T
+    return 0.5 * (h_eff + h_eff.T)
 
 
 def effective_spectrum(
     params: ModelParams, bc: BoundaryCondition = BoundaryCondition.OPEN
 ) -> np.ndarray:
     """Sorted real eigenvalues of the lattice effective Hamiltonian."""
-    if params.zero_temperature:
-        raise ValueError("lattice effective spectrum requires temperature > 0")
-    beta = params.beta
-    s_diag, theta, lam, v = _lattice_log_pieces(params, bc)
-    if beta * (lam[-1] - lam[0]) + 4.0 * abs(theta) > _MAX_EXPONENT:
-        raise OverflowError(
-            "exponent spread exceeds double precision; reduce beta or the bandwidth"
-        )
-    spread = beta * max(abs(lam[0]), abs(lam[-1])) + 2.0 * abs(theta)
-    if spread <= LOG_DOMAIN_CROSSOVER:
-        b = s_diag[:, None] * v
-        m = (b * np.exp(-beta * lam)) @ b.conj().T
-        mu = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if mu[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"log argument has eigenvalue {mu[0]:.3e} <= 0"
-            )
-        return np.sort(-np.log(mu))
-    energies, _ = _stitched_eigensystem(s_diag, lam, v, beta)
+    energies, _ = _steady_state_modes(params, bc, vectors=False)
     return energies
 
 
@@ -444,44 +383,24 @@ def density_profile(
 ) -> DensityProfile:
     """Occupy the ``n_particles`` lowest effective modes and bin per cell.
 
-    The occupied modes are the dominant eigenvectors of the steady-state
-    matrix S e^{-beta H_0} S, which are numerically accurate even at
-    extreme coupling where the full spectrum spans hundreds of decades.
+    The occupied modes are the lowest-energy modes of the steady-state
+    kernel, accurate even at extreme coupling where the spectrum of
+    S e^{-beta H_0} S spans more decades than double precision resolves.
 
     Raises
     ------
     DegenerateFillingError
         If the effective energies at the filling edge differ by < 1e-10.
     """
-    if params.zero_temperature:
-        raise ValueError("density profile requires temperature > 0")
     L = params.cells
     if not 0 <= n_particles <= 2 * L:
         raise ValueError(f"n_particles must lie in [0, {2 * L}], got {n_particles}")
-    beta = params.beta
-    s_diag, theta, lam, v = _lattice_log_pieces(params, bc)
-    if beta * (lam[-1] - lam[0]) + 4.0 * abs(theta) > _MAX_EXPONENT:
-        raise OverflowError(
-            "exponent spread exceeds double precision; reduce beta or the bandwidth"
+    energies, vectors = _steady_state_modes(params, bc)
+    if 0 < n_particles < 2 * L and np.diff(energies)[n_particles - 1] < 1e-10:
+        raise DegenerateFillingError(
+            "filling edge is degenerate within 1e-10 in effective energy"
         )
-    b = s_diag[:, None] * v
-    shift = beta * lam[0]  # keep the top of the spectrum near unit scale
-    m = (b * np.exp(-beta * lam + shift)) @ b.conj().T
-    mu, u_m = np.linalg.eigh(0.5 * (m + m.conj().T))
-
-    if 0 < n_particles < 2 * L:
-        hi = mu[-n_particles]  # lowest occupied steady-state eigenvalue
-        lo = mu[-n_particles - 1]  # highest unoccupied
-        if hi <= 0.0:
-            raise OverflowError(
-                "filling edge lies below double-precision resolution"
-            )
-        if lo > 0.0 and np.log(hi / lo) < 1e-10:
-            raise DegenerateFillingError(
-                "filling edge is degenerate within 1e-10 in effective energy"
-            )
-    occupied = u_m[:, 2 * L - n_particles :]
-    site_density = np.sum(np.abs(occupied) ** 2, axis=1)
+    site_density = np.sum(vectors[:, :n_particles] ** 2, axis=1)
     per_cell = site_density[0::2] + site_density[1::2]
     return DensityProfile(per_cell=per_cell, n_particles=int(n_particles))
 

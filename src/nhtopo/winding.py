@@ -47,12 +47,17 @@ class WindingResult:
 
 
 def _eval_family(h_family, ks: np.ndarray) -> np.ndarray:
-    """Evaluate a Bloch family on a grid, batching when supported."""
+    """Evaluate a Bloch family on a grid, batching when supported.
+
+    A scalar-only family rejects an array of momenta with TypeError or
+    ValueError and is then evaluated point by point; any other error
+    propagates.
+    """
     try:
         out = np.asarray(h_family(ks), dtype=complex)
         if out.ndim == 3 and out.shape[0] == ks.size:
             return out
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.stack([np.asarray(h_family(k), dtype=complex) for k in ks])
 

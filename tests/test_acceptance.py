@@ -7,7 +7,7 @@ Criterion 5(a) asserts an edge-accumulation threshold that the faithful
 effective Hamiltonian does not reach at the extreme-coupling reference
 point (the edge mode delocalizes over ~50 cells there, verified against
 60-digit arithmetic); the assertion is kept as stated and fails honestly.
-See notes/decisions.md at the repository root of the review bundle.
+See notes/decisions.md.
 """
 
 import dataclasses

@@ -265,3 +265,14 @@ class TestMatrixCommands:
         assert _thread_default() == 2
         code, out, _ = run_cli(capsys, "winding", "--u-range", "0", "0", "1")
         assert code == 0 and out.startswith("u,W,w")
+
+    def test_malformed_thread_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NHTOPO_THREADS", "two")
+        code, out, err = run_cli(capsys, "winding", "--u-range", "0", "0", "1")
+        assert code == 1 and out == ""
+        assert "NHTOPO_THREADS" in err
+        # an explicit --threads never consults the environment
+        code, _, _ = run_cli(
+            capsys, "winding", "--u-range", "0", "0", "1", "--threads", "1"
+        )
+        assert code == 0

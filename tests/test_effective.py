@@ -248,16 +248,18 @@ class TestEffectiveLattice:
         assert np.max(np.abs(spec - bloch)) < 1e-8
 
     def test_periodic_union_extreme_coupling(self):
-        # the two-sided split must track the closed form across ~160 decades
-        p = ModelParams(
-            u=1.2, t=1.0, j=FIG4_J, gamma=FIG4_J - FIG4_DELTA,
-            temperature=0.1, cells=8,
-        )
-        spec = effective_spectrum(p, PERIODIC)
-        ks = 2.0 * np.pi * np.arange(1, p.cells + 1) / p.cells
-        w, _, _ = state_components(p, ks)
-        bloch = np.sort(np.concatenate([w, -w]))
-        assert np.max(np.abs(spec - bloch)) < 1e-6
+        # the lattice kernel must track the closed form where M spans ~17 decades
+        for u in (0.0, 1.2):
+            for cells in (8, 40):
+                p = ModelParams(
+                    u=u, t=1.0, j=FIG4_J, gamma=FIG4_J - FIG4_DELTA,
+                    temperature=0.1, cells=cells,
+                )
+                spec = effective_spectrum(p, PERIODIC)
+                ks = 2.0 * np.pi * np.arange(1, p.cells + 1) / p.cells
+                w, _, _ = state_components(p, ks)
+                bloch = np.sort(np.concatenate([w, -w]))
+                assert np.max(np.abs(spec - bloch)) < 1e-6, (u, cells)
 
     def test_hermitian_limit_matches_chain(self):
         p = ModelParams(u=0.7, t=1.0, j=1.0, gamma=0.0, temperature=2.0, cells=6)
@@ -286,6 +288,55 @@ class TestEffectiveLattice:
         spec = effective_spectrum(p, OPEN)
         ev = np.sort(np.linalg.eigvalsh(effective_lattice(p, OPEN)))
         assert np.max(np.abs(spec - ev)) < 1e-6
+
+
+def _mpmath_open_spectrum(p, digits=80):
+    """-ln eig(S e^{-beta H_0} S) of the open chain in ``digits``-digit arithmetic.
+
+    H_0 is assembled from its closed-form entries (onsite u sigma_z, bond
+    blocks [[-t, j'], [-j', t]]/2 with j' = sqrt(j^2 - gamma^2)), so the
+    reference shares no code with the library.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        u, t, j, g, temp = (
+            mpmath.mpf(x) for x in (p.u, p.t, p.j, p.gamma, p.temperature)
+        )
+        n = 2 * p.cells
+        jp = mpmath.sqrt((j + g) * (j - g))
+        bond = ((-t / 2, jp / 2), (-jp / 2, t / 2))
+        h0 = mpmath.zeros(n, n)
+        for c in range(p.cells):
+            h0[2 * c, 2 * c], h0[2 * c + 1, 2 * c + 1] = u, -u
+            if c + 1 < p.cells:
+                for a in range(2):
+                    for b in range(2):
+                        h0[2 * c + a, 2 * c + 2 + b] = bond[a][b]
+                        h0[2 * c + 2 + b, 2 * c + a] = bond[a][b]
+        lam, v = mpmath.eigsy(h0)
+        theta = mpmath.log((j + g) / (j - g)) / 4
+        gm = mpmath.matrix(n, n)  # G = S V e^{-beta Lambda / 2}
+        for r in range(n):
+            s = mpmath.exp(theta if r % 2 == 0 else -theta)
+            for c in range(n):
+                gm[r, c] = s * v[r, c] * mpmath.exp(-lam[c] / (2 * temp))
+        mu, _ = mpmath.eigsy(gm * gm.T)
+        return np.sort([float(-mpmath.log(m)) for m in mu])
+
+
+class TestExtremeCouplingOracle:
+    @pytest.mark.parametrize("u", [0.0, 0.4, 0.8, 1.2, 1.6])
+    def test_open_spectrum_matches_80_digit_reference(self, u):
+        # Fig-4 topological point, where M spans ~17 decades at L = 8
+        p = ModelParams(
+            u=u, t=1.0, j=FIG4_J, gamma=FIG4_J - FIG4_DELTA,
+            temperature=0.1, cells=8,
+        )
+        spec = effective_spectrum(p, OPEN)
+        ref = _mpmath_open_spectrum(p)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(spec - ref)) < 1e-8 * scale
+        assert np.max(np.abs(spec + spec[::-1])) < 1e-8 * scale
 
 
 class TestSymmetryInheritance:

@@ -167,6 +167,31 @@ class TestGenericWinding:
         with pytest.raises(PhaseStepError):
             winding_number(fam, chiral_z, 101)
 
+    def test_scalar_only_family_evaluated_pointwise(self):
+        import math
+
+        def fam(k):
+            q = complex(math.cos(k), math.sin(k))  # TypeError on an array
+            return np.array([[0.0, np.conj(q)], [q, 0.0]])
+
+        chiral_z = SymmetryOp(np.diag([1.0, -1.0]).astype(complex))
+        assert abs(winding_number(fam, chiral_z, 301).value) == 1
+
+    def test_family_error_on_array_propagates(self):
+        calls = []
+
+        def fam(k):
+            calls.append(np.ndim(k))
+            if np.ndim(k):
+                raise RuntimeError("family failed on the momentum grid")
+            q = np.exp(1j * k)
+            return np.array([[0.0, np.conj(q)], [q, 0.0]], dtype=complex)
+
+        chiral_z = SymmetryOp(np.diag([1.0, -1.0]).astype(complex))
+        with pytest.raises(RuntimeError, match="momentum grid"):
+            winding_number(fam, chiral_z, 301)
+        assert calls == [1]  # not retried point by point
+
     def test_trace_integral_matches_on_hermitian_family(self):
         # quadrature route equals the block winding for Hermitian chiral
         # families, up to discretization
