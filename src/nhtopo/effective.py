@@ -294,9 +294,9 @@ def _steady_state_modes(
     The chain is real, so H_0 = S^{-1} H S = V Lambda V^T is real symmetric
     and S e^{-beta H_0} S = e^{-beta lambda_0} G G^T with
     G = S V e^{-beta (Lambda - lambda_0) / 2}.  The one-sided Jacobi SVD of
-    G (LAPACK dgejsv) gives its singular values sigma to high relative
-    accuracy however many decades they span; the energies are
-    beta lambda_0 - 2 ln sigma, the modes the left singular vectors.
+    G (LAPACK dgejsv, JOBA='C') gives sigma to high relative accuracy, G
+    being a well-conditioned S V times a graded diagonal; the energies
+    are beta lambda_0 - 2 ln sigma, the modes the left singular vectors.
 
     Raises
     ------
@@ -322,9 +322,10 @@ def _steady_state_modes(
 
     from scipy.linalg import lapack  # deferred: keeps CLI start-up light
 
-    # JOBA='A', JOBU='U'|'N', JOBV='N', JOBR='N' (no flush), JOBP='N' (no perturbation)
+    # JOBA='C' (relative accuracy; 'A' would flush sigma below sqrt(n) eps
+    # sigma_max to zero), JOBU='U'|'N', JOBV='N', JOBR='N', JOBP='N'
     sva, u_g, _, work, _, info = lapack.dgejsv(
-        g, joba=4, jobu=0 if vectors else 3, jobv=3, jobr=0, jobp=0
+        g, joba=0, jobu=0 if vectors else 3, jobv=3, jobr=0, jobp=0
     )
     sigma = sva * (work[0] / work[1])
     if info != 0 or not sigma[-1] > 0.0:

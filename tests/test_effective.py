@@ -281,6 +281,13 @@ class TestEffectiveLattice:
             assert np.max(np.abs(np.linalg.eigvalsh(h_eff).imag)) == 0.0
 
     def test_matrix_agrees_with_spectrum_on_split_path(self):
+        """effective_lattice and effective_spectrum agree through the one kernel.
+
+        Both come from the same singular values, so this checks only that
+        the matrix is assembled from orthonormal modes; accuracy rests on
+        the mpmath and Bloch-union tests.  (The name predates the kernel:
+        it once compared two separate split routes.)
+        """
         p = ModelParams(
             u=0.4, t=1.0, j=FIG4_J, gamma=FIG4_J - FIG4_DELTA,
             temperature=0.2, cells=6,
@@ -337,6 +344,28 @@ class TestExtremeCouplingOracle:
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(spec - ref)) < 1e-8 * scale
         assert np.max(np.abs(spec + spec[::-1])) < 1e-8 * scale
+
+    @pytest.mark.parametrize(
+        "cells, j, gamma, temperature",
+        [
+            (4, 1.0, 0.5, 0.02),
+            (8, 1.0, 0.5, 0.02),
+            (8, FIG4_J, FIG4_J - FIG4_DELTA, 0.03),
+        ],
+        ids=["L4", "L8", "L8-fig4"],
+    )
+    def test_open_spectrum_spanning_beyond_double_precision(
+        self, cells, j, gamma, temperature
+    ):
+        # beta * bandwidth ~ 90-150: the singular values of G span far more
+        # than 1e16, below the sqrt(2L) eps cut of an absolute-accuracy SVD
+        p = ModelParams(
+            u=0.5, t=1.0, j=j, gamma=gamma, temperature=temperature, cells=cells
+        )
+        ref = _mpmath_open_spectrum(p, digits=120)
+        assert ref[-1] - ref[0] > 2.0 * np.log(1e16)
+        spec = effective_spectrum(p, OPEN)
+        assert np.max(np.abs(spec - ref)) < 1e-8 * np.max(np.abs(ref))
 
 
 class TestSymmetryInheritance:
